@@ -1,7 +1,8 @@
 """Command-line front-end: compile, eval, separate, stats.
 
 Exit codes: 0 success (or same orbit), 1 different orbit, 2 usage/parse
-errors, 3 compile ceiling exceeded.
+errors (malformed spec or separator files included), 3 compile ceiling
+exceeded.
 """
 
 import argparse
@@ -53,6 +54,8 @@ def _parse_point(text, field):
 
 def cmd_compile(args):
     params_obj = _load_json(args.params) if args.params else {}
+    if not isinstance(params_obj, dict):
+        raise CompileError(f"{args.params}: the params file must be a JSON object")
     field = _resolve_field(args, params_obj)
     group = GroupSpec.from_json_dict(_load_json(args.group), field)
     rep = RepSpec.from_json_dict(_load_json(args.rep), group, field)

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from math import comb
 
 from .groebner import buchberger, hilbert_leq, ideal_k_basis
 from .linalg import collect_cells, kernel_cells, trref_cells
@@ -38,6 +39,16 @@ class CompileError(RuntimeError):
 
 class CellCapError(CompileError):
     """A relation matrix would exceed the configured cell ceiling."""
+
+
+def _spec_fields(obj, kind, *keys):
+    """Values of the required keys of a JSON spec object, in order."""
+    if not isinstance(obj, dict):
+        raise CompileError(f"a {kind} spec must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise CompileError(f"the {kind} spec lacks {', '.join(missing)}")
+    return [obj[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -77,9 +88,11 @@ class GroupSpec:
 
     @classmethod
     def from_json_dict(cls, obj, field):
-        names = tuple(obj["vars"])
-        gens = tuple(parse_polynomial(s, names, field) for s in obj["generators"])
-        return cls(int(obj["ambient_dim"]), int(obj["group_dim"]), names, gens)
+        ambient, dim, names, gens = _spec_fields(
+            obj, "group", "ambient_dim", "group_dim", "vars", "generators")
+        names = tuple(names)
+        gens = tuple(parse_polynomial(s, names, field) for s in gens)
+        return cls(int(ambient), int(dim), names, gens)
 
     def to_json_dict(self):
         return {
@@ -114,11 +127,11 @@ class RepSpec:
 
     @classmethod
     def from_json_dict(cls, obj, group, field):
-        n = int(obj["n"])
+        n, rho = _spec_fields(obj, "rep", "n", "rho")
         rows = tuple(
             tuple(parse_polynomial(s, group.var_names, field) for s in row)
-            for row in obj["rho"])
-        return cls(n, rows)
+            for row in rho)
+        return cls(int(n), rows)
 
     def to_json_dict(self, var_names):
         return {"n": self.dim,
@@ -160,7 +173,7 @@ def degree_bound(group, rep, params=None):
 
 
 class CompiledSeparator:
-    """A compiled separator: the program plus its layout metadata."""
+    """A compiled separator: the program plus its metadata."""
 
     def __init__(self, program, meta):
         self.program = program
@@ -176,9 +189,10 @@ class CompiledSeparator:
 
     @classmethod
     def from_dict(cls, obj):
-        if obj.get("format") != "orbitslp-separator" or obj.get("version") != 1:
+        if (not isinstance(obj, dict) or obj.get("format") != "orbitslp-separator"
+                or obj.get("version") != 1 or not isinstance(obj.get("metadata"), dict)):
             raise CompileError("not an orbitslp separator file")
-        return cls(program_from_dict(obj["program"]), obj["metadata"])
+        return cls(program_from_dict(obj.get("program")), obj["metadata"])
 
     def dumps(self):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -206,6 +220,14 @@ def resolve_cell_cap(explicit=None):
     if env:
         return int(env)
     return DEFAULT_CELL_CAP
+
+
+def _check_cells(i, rows, cols, cap, at_least=False):
+    """Refuse iteration i's rows x cols relation matrix above the ceiling."""
+    if rows * cols > cap:
+        raise CellCapError(
+            f"iteration {i} needs {'at least ' if at_least else ''}a {rows}x{cols} "
+            f"relation matrix ({rows * cols} cells) but the ceiling is {cap}")
 
 
 def _pullback_cells(b, rep):
@@ -266,37 +288,37 @@ def compile_separator(group, rep, params=None, cell_cap=None):
     gb = buchberger(group.generators, nvars=l, field=f)
     if any(g.degree() == 0 for g in gb):
         raise CompileError("the group equations have no common zero")
-    h_dims = [hilbert_leq(gb, i * n_deg) for i in range(d_max + 1)]
-    indexes = [MonomialIndex(l, i * n_deg) for i in range(d_max + 1)]
-    slice_bases = [None] + [ideal_k_basis(gb, i * n_deg) for i in range(1, d_max + 1)]
+    h_dims = [hilbert_leq(gb, 0)]
 
+    # Each iteration's tracked column count is known before its row index is
+    # built, so the size checks run on binomial counts before any allocation.
+    _check_cells(1, comb(l + n_deg, l), n + 1, cap, at_least=True)
+    idx = MonomialIndex(l, n_deg)
     b = ProgramBuilder(f, n)
     sigma = _pullback_cells(b, rep)
     # degree-zero image: the constant function 1
-    unit_vec = [b.one] + [b.zero] * (len(indexes[1]) - 1)
+    unit_vec = [b.one] + [b.zero] * (len(idx) - 1)
     tracked = [unit_vec]
     for j in range(n):
-        vec = [b.zero] * len(indexes[1])
+        vec = [b.zero] * len(idx)
         for mono, cell in sigma[j].items():
-            vec[indexes[1].index(mono)] = cell
+            vec[idx.index(mono)] = cell
         tracked.append(vec)
 
     signature = []
     iterations = []
     setup_end = b.position
     for i in range(1, d_max + 1):
-        idx = indexes[i]
         nrows = len(idx)
+        k_i = len(tracked)
+        h_dims.append(hilbert_leq(gb, i * n_deg))
+        # the ideal slice has nrows - h_i elements (dimension identity)
+        _check_cells(i, nrows, k_i + nrows - h_dims[i], cap)
         for vec in tracked:
             vec.extend([b.zero] * (nrows - len(vec)))
         ideal_cols = [[b.const(c) for c in coeff_vector(p, idx)]
-                      for p in slice_bases[i]]
-        k_i = len(tracked)
+                      for p in ideal_k_basis(gb, i * n_deg)]
         t_i = k_i + len(ideal_cols)
-        if nrows * t_i > cap:
-            raise CellCapError(
-                f"iteration {i} needs a {nrows}x{t_i} relation matrix "
-                f"({nrows * t_i} cells) but the ceiling is {cap}")
         cols = tracked + ideal_cols
         xrows = [[col[r] for col in cols] for r in range(nrows)]
         marks = {"start": b.position}
@@ -323,22 +345,21 @@ def compile_separator(group, rep, params=None, cell_cap=None):
                 1 for r in range(nrows)
                 if any(not b.is_zero_cell(col[r]) for col in tracked))
             live = min(k_i, h_dims[i], support)
-            slots = collect_cells(b, flags, tracked, limit=live)
-            kept = [list(row) for row in slots]
-            while len(kept) < h_dims[i]:
-                kept.append([b.zero] * nrows)
-            kept = kept[:h_dims[i]]
+            kept = collect_cells(b, flags, tracked, limit=live)
+            kept += [[b.zero] * nrows for _ in range(h_dims[i] - live)]
             marks["collect"] = b.position
             # multiply the pullbacks with the vectors new at this degree;
             # slots that are provably zero for every input grow no products
-            products = []
-            for j in range(n):
-                for s_idx in range(h_dims[i - 1], min(live, h_dims[i])):
-                    products.append(_spread_product(
-                        b, sigma[j], kept[s_idx], idx, indexes[i + 1]))
+            new = range(h_dims[i - 1], live)
+            _check_cells(i + 1, comb(l + (i + 1) * n_deg, l),
+                         len(kept) + n * len(new), cap, at_least=True)
+            next_idx = MonomialIndex(l, (i + 1) * n_deg)
+            products = [_spread_product(b, sigma[j], kept[s_idx], idx, next_idx)
+                        for j in range(n) for s_idx in new]
             marks["products"] = b.position
             record["live_slots"] = live
             tracked = kept + products
+            idx = next_idx
         phases = {"trref": marks["trref"] - marks["start"],
                   "kernel": marks["kernel"] - marks["trref"]}
         if i < d_max:
@@ -349,9 +370,7 @@ def compile_separator(group, rep, params=None, cell_cap=None):
 
     group_json = group.to_json_dict()
     rep_json = rep.to_json_dict(group.var_names)
-    program = b.finish(signature, layout={
-        "inputs": f"point coordinates ({n})",
-        "outputs": "orbit signature, per-iteration kernel projections"})
+    program = b.finish(signature)
     meta = {
         "n": n,
         "ambient_dim": l,

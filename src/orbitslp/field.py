@@ -16,7 +16,8 @@ never branch on a value being zero.
 import re
 from fractions import Fraction
 
-_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# an integer or a fraction with a nonzero denominator
+_NUMBER_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 class FieldError(ValueError):
@@ -56,8 +57,7 @@ class RationalField:
         s = text.strip()
         if not _NUMBER_RE.match(s):
             raise FieldError(f"not an exact rational literal: {text!r}")
-        value = Fraction(s)  # raises ZeroDivisionError on a/0
-        return value
+        return Fraction(s)
 
     def fmt(self, a):
         return str(a)

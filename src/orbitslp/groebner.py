@@ -6,8 +6,6 @@ the dimension of the coordinate ring filtered by total degree, and what
 makes the monomial multiples of a basis span the ideal degree slice.
 """
 
-from math import comb
-
 from .linalg import oracle_rref
 from .polynomials import (Polynomial, grlex_key, monomial_div, monomial_divides,
                           monomial_lcm, monomial_mul, monomials_leq)
@@ -159,13 +157,3 @@ def hilbert_leq(gb, d):
     return sum(1 for mono in monomials_leq(gb.nvars, d)
                if not any(monomial_divides(h, mono) for h in heads))
 
-
-def full_space_dimension(nvars, d):
-    """dim of all polynomials of degree <= d in nvars variables."""
-    return comb(nvars + d, nvars)
-
-
-def dimension_identity_holds(gb, d):
-    """Cross-check: quotient dim + ideal-slice dim = full space dim."""
-    return (hilbert_leq(gb, d) + len(ideal_k_basis(gb, d))
-            == full_space_dimension(gb.nvars, d))

@@ -11,7 +11,7 @@ Matrices travel on the tape in row-major order.  The companion oracles
 implementations the builders are tested against.
 """
 
-from .slp import ProgramBuilder, compose
+from .slp import ProgramBuilder
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +127,18 @@ def collect_cells(b, flags, rows, limit=None):
 # ---------------------------------------------------------------------------
 # program builders
 
-def _check_shape(m, n):
+def _matrix_program(field, m, n, emit, lead=0):
+    """Program over `lead` leading cells, then an m x n row-major matrix.
+
+    emit(b, lead_cells, rows) returns the output rows, which become the
+    outputs in row-major order.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
-
-
-def _matrix_inputs(b, m, n):
+    b = ProgramBuilder(field, lead + m * n)
     cells = b.inputs()
-    return [cells[i * n:(i + 1) * n] for i in range(m)]
+    rows = [cells[lead + i * n:lead + (i + 1) * n] for i in range(m)]
+    return b.finish([c for row in emit(b, cells[:lead], rows) for c in row])
 
 
 def row_swap_program(field, m, n, i):
@@ -143,38 +147,18 @@ def row_swap_program(field, m, n, i):
     Input: m*n matrix cells; output: the m*n result.  The swap happens
     exactly when the original top-left entry is zero.
     """
-    _check_shape(m, n)
     if not 2 <= i <= m:
         raise ValueError(f"row index {i} out of range 2..{m}")
-    b = ProgramBuilder(field, m * n)
-    rows = _matrix_inputs(b, m, n)
-    x11 = rows[0][0]
-    inv = b.qinv(x11)
-    q = b.mul(x11, inv)
-    s = b.sub(b.one, q)
-    r = i - 1
-    t = b.mul(s, rows[r][0])
-    top = [b.add(x11, t)]
-    oth = [b.sub(rows[r][0], t)]
-    for j in range(1, n):
-        d = b.sub(rows[r][j], rows[0][j])
-        top.append(b.add(rows[0][j], b.mul(s, d)))
-        oth.append(b.add(rows[0][j], b.mul(q, d)))
-    rows[0] = top
-    rows[r] = oth
-    return b.finish([c for row in rows for c in row],
-                    layout={"inputs": f"{m}x{n} matrix, row-major",
-                            "outputs": f"{m}x{n} matrix, row-major"})
+
+    def emit(b, _, rows):
+        rows[0], rows[i - 1] = cascade_cells(b, [rows[0], rows[i - 1]])
+        return rows
+    return _matrix_program(field, m, n, emit)
 
 
 def swap_cascade_program(field, m, n):
     """Chain of conditional swaps pulling a nonzero lead entry to the top."""
-    _check_shape(m, n)
-    b = ProgramBuilder(field, m * n)
-    rows = cascade_cells(b, _matrix_inputs(b, m, n))
-    return b.finish([c for row in rows for c in row],
-                    layout={"inputs": f"{m}x{n} matrix, row-major",
-                            "outputs": f"{m}x{n} matrix, row-major"})
+    return _matrix_program(field, m, n, lambda b, _, rows: cascade_cells(b, rows))
 
 
 def triangular_rref_program(field, m, n):
@@ -184,62 +168,31 @@ def triangular_rref_program(field, m, n):
     1) or zeros (diagonal entry 0); the diagonal reads off the pivot
     columns and its sum is the rank.
     """
-    _check_shape(m, n)
-    b = ProgramBuilder(field, m * n)
-    grid = trref_cells(b, _matrix_inputs(b, m, n))
-    return b.finish([c for row in grid for c in row],
-                    layout={"inputs": f"{m}x{n} matrix, row-major",
-                            "outputs": f"{n}x{n} triangular echelon grid, row-major"})
+    return _matrix_program(field, m, n, lambda b, _, rows: trref_cells(b, rows))
 
 
 def collect_rows_program(field, m, n):
     """Inputs: indicator m-vector, then m*n matrix.  Outputs: m*n matrix
     with the indicated rows first (original order) over zero padding."""
-    _check_shape(m, n)
-    b = ProgramBuilder(field, m + m * n)
-    cells = b.inputs()
-    flags = cells[:m]
-    rows = [cells[m + i * n: m + (i + 1) * n] for i in range(m)]
-    out = collect_cells(b, flags, rows)
-    return b.finish([c for row in out for c in row],
-                    layout={"inputs": f"indicator ({m}), then {m}x{n} matrix",
-                            "outputs": f"{m}x{n} matrix, indicated rows first"})
+    return _matrix_program(field, m, n, collect_cells, lead=m)
 
 
 def kernel_program(field, n):
     """Canonical kernel rows from an n*n triangular echelon grid."""
-    _check_shape(n, n)
-    b = ProgramBuilder(field, n * n)
-    out = kernel_cells(b, _matrix_inputs(b, n, n))
-    return b.finish([c for row in out for c in row],
-                    layout={"inputs": f"{n}x{n} triangular echelon grid, row-major",
-                            "outputs": f"{n}x{n} kernel rows; nonzero rows form a basis"})
+    return _matrix_program(field, n, n, lambda b, _, rows: kernel_cells(b, rows))
 
 
 def rref_program(field, m, n):
-    """Classical RREF as collect(diag, grid) after the triangular form.
+    """Classical RREF: m*n inputs, m*n outputs.
 
-    Composition of four programs; output is the m*n echelon matrix.
+    The triangular grid's pivot rows, flagged by its diagonal, are collected
+    to the top, then cropped or zero-padded to m rows.
     """
-    _check_shape(m, n)
-    tri = triangular_rref_program(field, m, n)
-    # re-emit the grid prefixed with its diagonal
-    b = ProgramBuilder(field, n * n)
-    cells = b.inputs()
-    diag = [cells[j * n + j] for j in range(n)]
-    split = b.finish(diag + cells)
-    gather = collect_rows_program(field, n, n)
-    stacked = compose(gather, compose(split, tri, n * n), n + n * n)
-    # crop or zero-pad the n x n collected matrix to the classical m x n shape
-    b = ProgramBuilder(field, n * n)
-    cells = b.inputs()
-    out = []
-    for i in range(min(m, n)):
-        out.extend(cells[i * n:(i + 1) * n])
-    for _ in range(n, m):
-        out.extend([b.zero] * n)
-    crop = b.finish(out)
-    return compose(crop, stacked, n * n)
+    def emit(b, _, rows):
+        grid = trref_cells(b, rows)
+        out = collect_cells(b, [grid[j][j] for j in range(n)], grid)
+        return out[:m] + [[b.zero] * n for _ in range(n, m)]
+    return _matrix_program(field, m, n, emit)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ def monomial_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def monomial_degree(u):
-    return sum(u)
-
-
 def grlex_key(u):
     return (sum(u), u)
 

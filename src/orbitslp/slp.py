@@ -33,15 +33,13 @@ class ProgramError(ValueError):
 
 
 class Program:
-    __slots__ = ("field", "input_arity", "instructions", "output_arity", "layout")
+    __slots__ = ("field", "input_arity", "instructions", "output_arity")
 
-    def __init__(self, field, input_arity, instructions, output_arity, layout=None):
+    def __init__(self, field, input_arity, instructions, output_arity):
         self.field = field
         self.input_arity = int(input_arity)
         self.instructions = tuple(tuple(ins) for ins in instructions)
         self.output_arity = int(output_arity)
-        # free-form description of the input/output cell convention
-        self.layout = dict(layout) if layout else {}
         self.validate()
 
     def __len__(self):
@@ -84,6 +82,29 @@ class Program:
 
 def execute(prog, inputs):
     """Run the program; returns the final output_arity tape cells."""
+    return _run(prog, inputs, prog.instructions)
+
+
+def execute_trace(prog, inputs):
+    """Like execute, but also records the instruction pointer trace.
+
+    Returns (outputs, trace) where trace lists (position, opcode) in the
+    order the interpreter fetched them; comparing traces across inputs
+    demonstrates branch-freedom.
+    """
+    trace = []
+
+    def fetch():
+        for i, ins in enumerate(prog.instructions):
+            trace.append((i, ins[0]))
+            yield ins
+
+    return _run(prog, inputs, fetch()), trace
+
+
+def _run(prog, inputs, instructions):
+    """The interpreter loop: runs the instructions in the order the iterable
+    `instructions` yields them."""
     m = prog.input_arity
     if len(inputs) != m:
         raise ProgramError(f"expected {m} inputs, got {len(inputs)}")
@@ -91,7 +112,7 @@ def execute(prog, inputs):
     add, sub, mul, qinv = f.add, f.sub, f.mul, f.qinv
     tape = list(inputs)
     pos = m
-    for ins in prog.instructions:
+    for ins in instructions:
         op = ins[0]
         if op == OP_ADD:
             v = add(tape[pos - ins[1]], tape[pos - ins[2]])
@@ -108,41 +129,6 @@ def execute(prog, inputs):
         tape.append(v)
         pos += 1
     return tape[len(tape) - prog.output_arity:] if prog.output_arity else []
-
-
-def execute_trace(prog, inputs):
-    """Like execute, but also records the instruction pointer trace.
-
-    Returns (outputs, trace) where trace lists (position, opcode) in the
-    order the interpreter consulted them; comparing traces across inputs
-    demonstrates branch-freedom.
-    """
-    m = prog.input_arity
-    if len(inputs) != m:
-        raise ProgramError(f"expected {m} inputs, got {len(inputs)}")
-    f = prog.field
-    tape = list(inputs)
-    trace = []
-    pos = m
-    for i, ins in enumerate(prog.instructions):
-        op = ins[0]
-        trace.append((i, op))
-        if op == OP_ADD:
-            v = f.add(tape[pos - ins[1]], tape[pos - ins[2]])
-        elif op == OP_SUB:
-            v = f.sub(tape[pos - ins[1]], tape[pos - ins[2]])
-        elif op == OP_MUL:
-            v = f.mul(tape[pos - ins[1]], tape[pos - ins[2]])
-        elif op == OP_QINV:
-            v = f.qinv(tape[pos - ins[1]])
-        elif op == OP_CONST:
-            v = ins[1]
-        else:
-            v = tape[pos - ins[1]]
-        tape.append(v)
-        pos += 1
-    outs = tape[len(tape) - prog.output_arity:] if prog.output_arity else []
-    return outs, trace
 
 
 def compose(outer, inner, d=None):
@@ -273,12 +259,15 @@ class ProgramBuilder:
     def recall(self, a):
         return self._emit1(OP_RECALL, a)
 
-    def finish(self, outputs, layout=None):
+    def finish(self, outputs):
         """Recall the given cells in order; they become the outputs."""
         for c in outputs:
             self.recall(c)
-        return Program(self.field, self.input_arity, self._instrs,
-                       len(outputs), layout)
+        return Program(self.field, self.input_arity, self._instrs, len(outputs))
+
+
+_DICT_KEYS = frozenset(
+    ("field", "input_arity", "output_arity", "instructions", "constants"))
 
 
 def program_to_dict(prog):
@@ -311,15 +300,21 @@ def program_to_dict(prog):
 
 
 def program_from_dict(obj):
+    """Inverse of program_to_dict; a malformed dict raises ProgramError."""
+    if not isinstance(obj, dict) or not _DICT_KEYS <= obj.keys():
+        raise ProgramError(f"a program needs the keys {', '.join(sorted(_DICT_KEYS))}")
     field = field_from_json(obj["field"])
-    pool = [field.parse(text) for text in obj["constants"]]
-    instrs = []
-    for ins in obj["instructions"]:
-        if ins[0] == OP_CONST:
-            instrs.append((OP_CONST, pool[ins[1]]))
-        else:
-            instrs.append(tuple(ins))
-    return Program(field, obj["input_arity"], instrs, obj["output_arity"])
+    try:
+        # a dict pool refuses negative indices too
+        pool = dict(enumerate(field.parse(text) for text in obj["constants"]))
+        instrs = [(OP_CONST, pool[ins[1]]) if ins[0] == OP_CONST else tuple(ins)
+                  for ins in obj["instructions"]]
+        return Program(field, obj["input_arity"], instrs, obj["output_arity"])
+    except KeyError as exc:
+        raise ProgramError(f"malformed program: no constant {exc} "
+                           f"in the pool of {len(pool)}") from None
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ProgramError(f"malformed program: {exc}") from None
 
 
 def dumps(prog):

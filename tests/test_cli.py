@@ -160,3 +160,73 @@ def test_params_file_field_and_override(tmp_path, capsys):
     assert main(["compile", "--group", str(group), "--rep", str(rep),
                  "--params", str(params), "--out", str(out)]) == 0
     assert "d_max = 2" in capsys.readouterr().out
+
+
+def _break_separator(change):
+    """Case that rewrites the program dict of the compiled separator."""
+    def edit(files):
+        obj = json.loads(files["sep"].read_text())
+        change(obj["program"])
+        files["sep"].write_text(json.dumps(obj))
+    return "separate", edit
+
+
+def _set_first_const_index(program, value):
+    next(ins for ins in program["instructions"] if ins[0] == 4)[1] = value
+
+
+def _overwrite(name, text):
+    """Case that replaces one input file; run compile unless it is the separator."""
+    command = "separate" if name == "sep" else "compile"
+    return command, lambda files: files[name].write_text(text)
+
+
+# case -> (command run, how it breaks one of the torus input files)
+MALFORMED = {
+    "separator top level is an array": _overwrite("sep", "[1, 2]"),
+    "separator lacks program.constants":
+        _break_separator(lambda prog: prog.pop("constants")),
+    "constant index past the pool":
+        _break_separator(lambda prog: _set_first_const_index(prog, 99)),
+    "negative constant index":
+        _break_separator(lambda prog: _set_first_const_index(prog, -1)),
+    "constant with a zero denominator":
+        _break_separator(lambda prog: prog["constants"].append("1/0")),
+    "rep spec lacks rho": _overwrite("rep", json.dumps({"n": 2})),
+    "group spec is an array": _overwrite("group", "[1]"),
+    "params file is an array": _overwrite("params", "[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_files_exit_2(case, torus_files, tmp_path, capsys):
+    # exit 2 with a one-line error, never 1, which reads as DIFFERENT-ORBIT
+    group, rep, sep = torus_files
+    files = {"group": group, "rep": rep, "sep": sep,
+             "params": tmp_path / "params.json"}
+    files["params"].write_text("{}")
+    compile_argv = ["compile", "--group", str(group), "--rep", str(rep),
+                    "--params", str(files["params"]), "--out", str(sep)]
+    assert main(compile_argv) == 0
+    command, breaks = MALFORMED[case]
+    breaks(files)
+    capsys.readouterr()
+    if command == "compile":
+        code = main(compile_argv)
+    else:
+        code = main(["separate", str(sep), "--p", "1,2", "--q", "2,4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversize_compile_refused_before_allocating(tmp_path, capsys):
+    # rho = diag(z1^99, z1) gives d_max = 198; iteration 1 alone is 5050x4854
+    group = tmp_path / "group.json"
+    rep = tmp_path / "rep.json"
+    group.write_text(json.dumps(TORUS_GROUP_JSON))
+    rep.write_text(json.dumps({"n": 2, "rho": [["z1^99", "0"], ["0", "z1"]]}))
+    code = main(["compile", "--group", str(group), "--rep", str(rep),
+                 "--out", str(tmp_path / "sep.json")])
+    assert code == 3
+    assert "5050x4854" in capsys.readouterr().err
